@@ -11,15 +11,10 @@ import (
 // runners: it validates the preconditions every multi-process run shares —
 // a serializing transfer codec (pointer handoff cannot cross process
 // boundaries) — then joins the mesh. A nil spec is the single-process case:
-// no mesh, one process, index 0.
-//
-// Auto-controlled cluster runs are supported: workload runners wire the
-// returned mesh into plan.ClusterOptions so load telemetry is exchanged
-// over the mesh control channel and the elected lowest-index live process
-// drives the policy cluster-wide (the auto parameter is retained so the
-// harness remains the single choke point should a future mode need to
-// reject it again).
-func JoinCluster(workload string, spec *dataflow.ClusterSpec, transfer core.Codec, auto bool) (mesh *dataflow.Mesh, procs, proc int, err error) {
+// no mesh, one process, index 0. The mesh's control channel then belongs to
+// the process's one control plane (plan.ControlBus): the AutoController in
+// a fixed-roster -auto run, the MembershipController in a membership run.
+func JoinCluster(workload string, spec *dataflow.ClusterSpec, transfer core.Codec) (mesh *dataflow.Mesh, procs, proc int, err error) {
 	if spec == nil {
 		return nil, 1, 0, nil
 	}

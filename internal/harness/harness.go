@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"megaphone/internal/core"
@@ -139,14 +139,15 @@ func NewDriver(auto *plan.AutoOptions, handles []*dataflow.InputHandle[core.Move
 	return a, a
 }
 
-// FinishAdaptive backfills an auto-controlled run's Decisions and final
-// Load into the result; a no-op when auto is nil.
+// FinishAdaptive backfills a metered run's Decisions (when an AutoController
+// drove it) and final Load (when a meter is set) into the result.
 func (r *Result) FinishAdaptive(auto *plan.AutoController, meter *core.LoadMeter) {
-	if auto == nil {
-		return
+	if auto != nil {
+		r.Decisions = auto.Decisions()
 	}
-	r.Decisions = auto.Decisions()
-	r.Load = meter.Snapshot(nil)
+	if meter != nil {
+		r.Load = meter.Snapshot(nil)
+	}
 }
 
 // FprintAdaptive writes the decision log and per-worker load report of an
@@ -203,9 +204,6 @@ func Run[T any](
 	if opts.EpochEvery <= 0 {
 		opts.EpochEvery = time.Millisecond
 	}
-	if opts.ReportEvery <= 0 {
-		opts.ReportEvery = 250 * time.Millisecond
-	}
 	totalEpochs := int64(opts.Duration / opts.EpochEvery)
 	perEpoch := int64(float64(opts.Rate) * opts.EpochEvery.Seconds())
 	workers := len(inputs)
@@ -252,68 +250,7 @@ func Run[T any](
 		return start.Add(time.Duration(e-startEpoch+1) * opts.EpochEvery)
 	}
 
-	// Prober: watch the output frontier; when it passes epoch e, the
-	// latency of e is now - deadline(e).
-	var probeWG sync.WaitGroup
-	stopProbe := make(chan struct{})
-	var mu sync.Mutex
-	probeWG.Add(1)
-	go func() {
-		defer probeWG.Done()
-		lastReported := startEpoch - 1 // epochs <= lastReported measured
-		nextFlush := start.Add(opts.ReportEvery)
-		nextMem := start
-		for {
-			now := time.Now()
-			f := probe.Frontier()
-			var passed int64
-			if f == core.None {
-				passed = endEpoch
-			} else {
-				passed = int64(f) - 1 // epochs strictly below the frontier are complete
-			}
-			if passed > endEpoch {
-				passed = endEpoch
-			}
-			for e := lastReported + 1; e <= passed; e++ {
-				lat := now.Sub(deadline(e)).Nanoseconds()
-				mu.Lock()
-				res.Timeline.Record(lat)
-				res.Hist.Record(lat)
-				mu.Unlock()
-			}
-			// The frontier may transiently regress (operators can acquire
-			// earlier capabilities while covered by their input frontier);
-			// completed epochs stay completed.
-			if passed > lastReported {
-				lastReported = passed
-			}
-
-			if !now.Before(nextFlush) {
-				mu.Lock()
-				res.Timeline.Flush(now.Sub(start).Seconds())
-				mu.Unlock()
-				nextFlush = nextFlush.Add(opts.ReportEvery)
-			}
-			if opts.SampleMemory && !now.Before(nextMem) {
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				mu.Lock()
-				res.Memory.Add(now.Sub(start).Seconds(), float64(ms.HeapAlloc))
-				mu.Unlock()
-				nextMem = now.Add(100 * time.Millisecond)
-			}
-			select {
-			case <-stopProbe:
-				// Final pass to catch the tail.
-				if lastReported >= endEpoch {
-					return
-				}
-			default:
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
+	prober := startProber(&res, probe, start, deadline, startEpoch, endEpoch, opts.ReportEvery, opts.SampleMemory)
 
 	migIdx := 0
 	type pendingSpan struct{ started bool }
@@ -374,11 +311,7 @@ func Run[T any](
 	}
 	exec.Wait()
 	res.Elapsed = time.Since(start).Seconds()
-	close(stopProbe)
-	probeWG.Wait()
-	mu.Lock()
-	res.Timeline.Flush(time.Since(start).Seconds())
-	mu.Unlock()
+	prober.stop()
 
 	// A plan that completed only while draining is captured here.
 	if migIdx < len(opts.Migrations) && spanStates[migIdx].started {
@@ -397,4 +330,88 @@ func Run[T any](
 		sp.Duration = sp.End - sp.Start
 	}
 	return res
+}
+
+// prober measures per-epoch latency on its own goroutine: it watches the
+// output frontier, and when the frontier passes epoch e it records
+// now - deadline(e) into the result's Timeline and Hist, flushing a timeline
+// window every reportEvery (and, with sampleMemory, sampling the heap into
+// Memory). Every exit path of a run must stop it.
+type prober struct {
+	res   *Result
+	start time.Time
+	last  atomic.Int64 // highest epoch to measure
+	quit  chan struct{}
+	done  chan struct{}
+}
+
+// startProber starts measuring epochs [startEpoch, endEpoch] of a run whose
+// clock started at start.
+func startProber(res *Result, probe *dataflow.Probe, start time.Time, deadline func(int64) time.Time,
+	startEpoch, endEpoch int64, reportEvery time.Duration, sampleMemory bool) *prober {
+	if reportEvery <= 0 {
+		reportEvery = 250 * time.Millisecond
+	}
+	p := &prober{res: res, start: start, quit: make(chan struct{}), done: make(chan struct{})}
+	p.last.Store(endEpoch)
+	go func() {
+		defer close(p.done)
+		lastReported := startEpoch - 1 // epochs <= lastReported measured
+		nextFlush := start.Add(reportEvery)
+		nextMem := start
+		for {
+			final := false
+			select {
+			case <-p.quit:
+				final = true
+			default:
+			}
+			now := time.Now()
+			f := probe.Frontier()
+			passed := p.last.Load()
+			if f != core.None && int64(f)-1 < passed {
+				passed = int64(f) - 1 // epochs strictly below the frontier are complete
+			}
+			for e := lastReported + 1; e <= passed; e++ {
+				lat := now.Sub(deadline(e)).Nanoseconds()
+				res.Timeline.Record(lat)
+				res.Hist.Record(lat)
+			}
+			// The frontier may transiently regress (operators can acquire
+			// earlier capabilities while covered by their input frontier);
+			// completed epochs stay completed.
+			if passed > lastReported {
+				lastReported = passed
+			}
+			if final {
+				return
+			}
+			if !now.Before(nextFlush) {
+				res.Timeline.Flush(now.Sub(start).Seconds())
+				nextFlush = nextFlush.Add(reportEvery)
+			}
+			if sampleMemory && !now.Before(nextMem) {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				res.Memory.Add(now.Sub(start).Seconds(), float64(ms.HeapAlloc))
+				nextMem = now.Add(100 * time.Millisecond)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	return p
+}
+
+// limit stops measurement past epoch last: a process leaving mid-run keeps
+// seeing the cluster's frontier advance after it closed its inputs, but
+// those epochs are not its own.
+func (p *prober) limit(last int64) { p.last.Store(last) }
+
+// stop makes one final pass (after the dataflow drained it records every
+// remaining epoch), waits for the goroutine to exit and flushes the last
+// timeline window.
+func (p *prober) stop() {
+	close(p.quit)
+	<-p.done
+	p.res.Timeline.Flush(time.Since(p.start).Seconds())
 }

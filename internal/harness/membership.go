@@ -64,10 +64,10 @@ type MembershipRunOptions struct {
 // RunMembership drives one process of a dynamic-membership run: the
 // open-loop injection of Run, plus the membership controller's transitions —
 // admission barrier for a joiner, drain-out for a leaver, crash barrier and
-// bounded input replay when a member is declared dead. Latency probing and
-// migration scheduling are deliberately absent: membership runs measure
-// output equivalence, not latency, and scripted migrations would race the
-// controller's assignment mirror.
+// bounded input replay when a member is declared dead. Latency is probed as
+// in Run (from this process's first driven epoch, barrier and replay stalls
+// included). Scripted migrations are not paced here: the membership
+// controller renders them into fixed-epoch move schedules (MovesAt).
 func RunMembership[T any](
 	fab ClusterFabric,
 	mc *plan.MembershipController,
@@ -153,6 +153,8 @@ func RunMembership[T any](
 	deadline := func(e int64) time.Time {
 		return start.Add(time.Duration(e-startEpoch+1) * opts.EpochEvery)
 	}
+	prober := startProber(&res, probe, start, deadline, startEpoch, endEpoch, 0, false)
+	defer prober.stop()
 
 	// replay re-injects, at the crash commit epoch, this process's replay
 	// share of the input window the barrier established as lost — per bin,
@@ -280,6 +282,7 @@ func RunMembership[T any](
 		// say goodbye (survivors retire this slot on receipt) and FIN out
 		// one-sidedly.
 		holdEpoch := res.Epochs + 1 // inputs were advanced here before the break
+		prober.limit(holdEpoch)
 		for _, h := range ctl {
 			h.Close()
 		}

@@ -12,14 +12,14 @@ import (
 
 // runMembership is the dynamic-membership variant of Run: the cluster's
 // roster may grow (an absent slot joins mid-run) and shrink (drain-leave and
-// crash-leave) while the dataflow keeps running. Scripted migrations route
-// through the membership controller's schedule broadcast (so the move set
-// stays canonical across leader failovers), preload consults the live-roster
-// initial assignment, and -auto attaches the cluster autoscaler as a
-// telemetry plane multiplexed onto the same control bus — the membership
-// leader turns its load windows into standby admissions and drain-leaves.
-// Only whole-cluster -recover stays rejected: recovery inside a membership
-// run is per-member (crash-leave).
+// crash-leave) while the dataflow keeps running. The membership controller is
+// the process's one control plane: scripted migrations route through its
+// schedule broadcast (so the move set stays canonical across leader
+// failovers), preload consults the live-roster initial assignment, and -auto
+// makes it exchange load telemetry too — its leader turns the merged load
+// windows into standby admissions and drain-leaves. Only whole-cluster
+// -recover stays rejected: recovery inside a membership run is per-member
+// (crash-leave).
 func runMembership(cfg RunConfig) (harness.Result, error) {
 	switch {
 	case cfg.Cluster == nil:
@@ -47,7 +47,7 @@ func runMembership(cfg RunConfig) (harness.Result, error) {
 		cfg.EpochEvery = time.Millisecond
 	}
 
-	mesh, procs, proc, err := harness.JoinCluster("keycount", cfg.Cluster, cfg.Transfer, false)
+	mesh, procs, proc, err := harness.JoinCluster("keycount", cfg.Cluster, cfg.Transfer)
 	if err != nil {
 		return harness.Result{}, err
 	}
@@ -63,10 +63,21 @@ func runMembership(cfg RunConfig) (harness.Result, error) {
 	cfg.Params.Checkpoint = ckpt.Config
 
 	var meter *core.LoadMeter
+	var autoscale *plan.MembershipAutoscale
 	if cfg.Auto != nil {
+		// -auto meters load for the membership leader's scale-out/scale-in
+		// evaluator; bin moves only ever route through membership decisions,
+		// so the policy options do not apply here.
 		meter = core.NewLoadMeter(totalWorkers, cfg.LogBins)
 		cfg.Params.Meter = meter
-		cfg.Auto.Meter = meter
+		autoscale = &plan.MembershipAutoscale{
+			Meter:       meter,
+			SampleEvery: cfg.Auto.SampleEvery,
+			HotRecs:     cfg.ScaleOutAbove,
+			ColdRecs:    cfg.ScaleInBelow,
+			Sustain:     cfg.ScaleSustain,
+			Cost:        cfg.Auto.Cost,
+		}
 	}
 
 	exec := dataflow.NewExecution(dataflow.Config{Workers: cfg.Workers, Mesh: mesh})
@@ -101,38 +112,9 @@ func runMembership(cfg RunConfig) (harness.Result, error) {
 	}
 	bins := 1 << uint(cfg.LogBins)
 
-	// With -auto the two control planes share the mesh control channel
-	// through a mux: autoscaler kinds below 10, membership at and above.
-	var memBus plan.ControlBus = mesh
-	var autoscale *plan.MembershipAutoscale
-	var auto *plan.AutoController
-	if cfg.Auto != nil {
-		mux := plan.NewBusMux(mesh)
-		memBus = mux.Membership()
-		// In membership mode the autoscaler is telemetry-only: bin moves must
-		// route through the membership plane, so its policy is forced Static
-		// and it never drives the control inputs (nil handles).
-		cfg.Auto.Policy = plan.Static{}
-		cfg.Auto.Cluster = &plan.ClusterOptions{
-			Bus:            mux.Auto(),
-			Procs:          procs,
-			Proc:           proc,
-			WorkersPerProc: cfg.Workers,
-			Logf:           cfg.Cluster.Logf,
-		}
-		auto = plan.NewAutoController(nil, probe, plan.Initial(bins, totalWorkers), *cfg.Auto)
-		autoscale = &plan.MembershipAutoscale{
-			Auto:     auto,
-			HotRecs:  cfg.ScaleOutAbove,
-			ColdRecs: cfg.ScaleInBelow,
-			Sustain:  cfg.ScaleSustain,
-			Cost:     cfg.Auto.Cost,
-		}
-	}
-
 	fab := harness.ClusterFabric{Execution: exec, Mesh: mesh}
 	mc := plan.NewMembershipController(plan.MembershipOptions{
-		Bus:            memBus,
+		Bus:            mesh,
 		Fabric:         fab,
 		Frontier:       probe.Frontier,
 		Procs:          procs,
@@ -211,7 +193,7 @@ func runMembership(cfg RunConfig) (harness.Result, error) {
 		CrashAt:         cfg.CrashAt,
 		CheckpointDir:   cfg.CheckpointDir,
 	})
-	res.FinishAdaptive(auto, meter)
+	res.FinishAdaptive(nil, meter)
 	ckpt.Finish(&res)
 	return res, err
 }

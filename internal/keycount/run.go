@@ -67,8 +67,9 @@ type RunConfig struct {
 	// CheckpointDir; incompatible with Recover (crash recovery is per-member,
 	// inside the run). Scripted migrations ride the membership schedule
 	// broadcast, Preload consults the live-roster initial assignment, and
-	// Auto attaches the autoscaler as a telemetry plane whose load windows
-	// drive join/leave (see ScaleOutAbove/ScaleInBelow).
+	// Auto makes the membership controller exchange load telemetry whose
+	// windows drive join/leave (see ScaleOutAbove/ScaleInBelow); of Auto's
+	// options only SampleEvery and Cost apply there.
 	Membership bool
 	// LeaveAt makes this process request drain-leave once its drive loop
 	// passes that epoch (with Membership).
@@ -109,7 +110,7 @@ func Run(cfg RunConfig) (harness.Result, error) {
 		cfg.EpochEvery = time.Millisecond
 	}
 
-	mesh, procs, proc, err := harness.JoinCluster("keycount", cfg.Cluster, cfg.Transfer, cfg.Auto != nil)
+	mesh, procs, proc, err := harness.JoinCluster("keycount", cfg.Cluster, cfg.Transfer)
 	if err != nil {
 		return harness.Result{}, err
 	}

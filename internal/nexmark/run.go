@@ -66,7 +66,7 @@ func Run(cfg RunConfig) (harness.Result, error) {
 		// the barrier can neither bound nor reconstruct their progress state.
 		return harness.Result{}, fmt.Errorf("nexmark: dynamic membership (absent roster slots) is keycount-only — windowed operators have unbounded, unpurgeable capability holds")
 	}
-	mesh, procs, proc, err := harness.JoinCluster("nexmark", cfg.Cluster, cfg.Params.Transfer, cfg.Auto != nil)
+	mesh, procs, proc, err := harness.JoinCluster("nexmark", cfg.Cluster, cfg.Params.Transfer)
 	if err != nil {
 		return harness.Result{}, err
 	}

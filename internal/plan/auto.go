@@ -92,11 +92,9 @@ type AutoController struct {
 	ticks    int
 	cooldown int // idle ticks still owed before the next decision
 
-	// source is what gets sampled: the meter itself, or the merged
-	// cluster-wide view in cluster mode.
-	source            loadSource
-	prev, cur, window *core.LoadSnapshot
-	windowSeq         uint64 // completed sampling windows (see WindowSeq)
+	// tel cuts the sampling windows the policy reads: from the meter alone,
+	// or from the merged cluster-wide view in cluster mode.
+	tel *telemetry
 
 	// lastHot and stability track how long the same worker has been the
 	// window's hottest (consecutive sampling windows); the cost model's
@@ -104,21 +102,18 @@ type AutoController struct {
 	lastHot   int
 	stability int
 
-	// cluster is the distributed control plane state (nil single-process).
-	cluster *clusterState
-	decBuf  []byte
+	// Cluster mode only: the liveness core (its clock counts sampling
+	// windows, load deltas are the heartbeats) and the takeover guard.
+	live          *liveness
+	takeoverEpoch core.Time
+	takeoverGuard bool
+	decBuf        []byte
 
 	// dmu guards decisions and current: both are written on the ticking
 	// goroutine (and, in cluster mode, by mirrored remote decisions on bus
 	// handler goroutines) and may be read from any other.
 	dmu       sync.Mutex
 	decisions []Decision
-}
-
-// loadSource is anything snapshotable like a LoadMeter; *core.LoadMeter and
-// *core.ClusterLoadView both qualify.
-type loadSource interface {
-	Snapshot(into *core.LoadSnapshot) *core.LoadSnapshot
 }
 
 // NewAutoController returns an auto controller over the given control
@@ -139,18 +134,29 @@ func NewAutoController(handles []*dataflow.InputHandle[core.Move], probe *datafl
 		Controller: NewController(handles, probe),
 		opts:       opts,
 		current:    append(Assignment(nil), initial...),
-		source:     opts.Meter,
 		lastHot:    -1,
 	}
-	if opts.Cluster != nil {
-		a.cluster = newClusterState(opts.Meter, *opts.Cluster)
-		a.source = a.cluster.view
-		// Registering the handler also drains any control frames that beat
-		// us here, so no peer's telemetry or decision is ever lost.
-		opts.Cluster.Bus.SetControlHandler(a.onControl)
+	if opts.Cluster == nil {
+		a.tel = newTelemetry(opts.Meter, nil, 0, 0, 0)
+		return a
 	}
-	// Seed the previous snapshot so the first window is a true delta.
-	a.prev = a.source.Snapshot(nil)
+	c := *opts.Cluster
+	if c.Bus == nil {
+		panic("plan: ClusterOptions needs a Bus")
+	}
+	if c.Procs < 2 || c.Proc < 0 || c.Proc >= c.Procs {
+		panic("plan: ClusterOptions process index out of range")
+	}
+	if c.WorkersPerProc <= 0 || c.Procs*c.WorkersPerProc != opts.Meter.Workers() {
+		panic("plan: ClusterOptions worker layout does not match the meter")
+	}
+	c.defaults()
+	a.opts.Cluster = &c
+	a.tel = newTelemetry(opts.Meter, c.Bus, c.Procs, c.Proc, c.WorkersPerProc)
+	a.live = newLiveness(c.Procs, c.Proc, c.SuspectAfter, 0)
+	// Registering the handler also drains any control frames that beat us
+	// here, so no peer's telemetry or decision is ever lost.
+	c.Bus.SetControlHandler(a.onControl)
 	return a
 }
 
@@ -163,24 +169,19 @@ func (a *AutoController) Tick(now core.Time) {
 	}
 	a.ticks++
 	if a.ticks%a.opts.SampleEvery == 0 {
-		if a.cluster != nil {
-			// Broadcast this window's local row increments first (the delta
-			// is also our heartbeat), then sample the merged view.
-			a.cluster.sample()
-		}
-		a.cur = a.source.Snapshot(a.cur)
-		a.window = a.cur.Delta(a.prev, a.window)
-		a.prev, a.cur = a.cur, a.prev
-		a.windowSeq++
+		// In cluster mode the sample broadcasts this window's local load
+		// delta (also our heartbeat) before cutting the merged window.
+		a.tel.sample()
 		a.observeStability()
 		lead := true
-		if a.cluster != nil {
+		if a.live != nil {
 			// Only the elected leader decides; a fresh leader not until the
 			// frontier proves its predecessor's moves have drained, and no
 			// leader until every live peer's telemetry has reached the view —
 			// a window of mostly-local rows reads as a phantom imbalance.
-			lead = a.cluster.elect(now) && a.cluster.mayDecide(a.probe.Frontier()) &&
-				a.cluster.covered()
+			a.live.advance()
+			lead = a.elect(now) && a.mayDecide(a.probe.Frontier()) &&
+				a.tel.covered(a.live, everyone)
 		}
 		if lead && a.Idle() && a.cooldown == 0 {
 			a.decide(now)
@@ -193,9 +194,9 @@ func (a *AutoController) Tick(now core.Time) {
 // worker has been hottest. Service time is the signal when measured; record
 // counts otherwise.
 func (a *AutoController) observeStability() {
-	loads := a.window.WorkerNanos
-	if a.window.TotalNanos() == 0 {
-		loads = a.window.WorkerRecs
+	loads := a.tel.window.WorkerNanos
+	if a.tel.window.TotalNanos() == 0 {
+		loads = a.tel.window.WorkerRecs
 	}
 	hot := 0
 	for w, l := range loads {
@@ -219,7 +220,7 @@ func (a *AutoController) decide(now core.Time) {
 	a.dmu.Lock()
 	current := append(Assignment(nil), a.current...)
 	a.dmu.Unlock()
-	target, ok := a.opts.Policy.Target(current, a.window)
+	target, ok := a.opts.Policy.Target(current, a.tel.window)
 	if !ok {
 		return
 	}
@@ -232,13 +233,13 @@ func (a *AutoController) decide(now core.Time) {
 		Policy:     a.opts.Policy.Name(),
 		Moves:      p.NumMoves(),
 		Steps:      len(p.Steps),
-		WindowRecs: a.window.TotalRecs(),
+		WindowRecs: a.tel.window.TotalRecs(),
 		Origin:     a.origin(),
 	}
 	if a.opts.Cost != nil {
-		// a.prev holds the newest cumulative snapshot after the swap in
-		// Tick; its per-bin record counts proxy the state volume to move.
-		v := a.opts.Cost.Evaluate(current, target, a.window, a.prev, a.stability)
+		// tel.prev holds the newest cumulative snapshot; its per-bin record
+		// counts proxy the state volume to move.
+		v := a.opts.Cost.Evaluate(current, target, a.tel.window, a.tel.prev, a.stability)
 		d.Volume, d.Gain = v.VolumeRecs, v.GainNanos
 		if !v.Migrate {
 			d.Declined, d.Reason = true, v.Reason
@@ -270,36 +271,13 @@ func (a *AutoController) record(d Decision, assign Assignment) {
 	a.dmu.Lock()
 	a.decisions = append(a.decisions, d)
 	a.dmu.Unlock()
-	if a.cluster != nil {
+	if a.opts.Cluster != nil {
 		a.decBuf = appendDecisionFrame(a.decBuf[:0], d, assign)
-		a.cluster.opts.Bus.BroadcastControl(a.decBuf)
+		a.opts.Cluster.Bus.BroadcastControl(a.decBuf)
 	}
 	if a.opts.OnDecision != nil {
 		a.opts.OnDecision(d)
 	}
-}
-
-// WindowSeq counts the sampling windows completed so far; a consumer on the
-// ticking goroutine can use a change in it as "a fresh window is available".
-// Like Window, it must only be read from the goroutine that calls Tick.
-func (a *AutoController) WindowSeq() uint64 { return a.windowSeq }
-
-// Window returns the newest completed sampling window and the cumulative
-// snapshot it was cut from (nil before the first window). Ticking-goroutine
-// only; the returned snapshots are reused by the next sample.
-func (a *AutoController) Window() (window, cumulative *core.LoadSnapshot) {
-	return a.window, a.prev
-}
-
-// TelemetryCovered reports whether, in cluster mode, every live peer's load
-// telemetry has reached the merged view for the current window (always true
-// single-process). A window missing a peer's rows reads as a phantom
-// imbalance, so consumers should skip it.
-func (a *AutoController) TelemetryCovered() bool {
-	if a.cluster == nil {
-		return true
-	}
-	return a.cluster.covered()
 }
 
 // Decisions returns the reconfigurations issued so far.

@@ -1,34 +1,23 @@
 package plan
 
 import (
-	"sync/atomic"
-
 	"megaphone/internal/binenc"
 	"megaphone/internal/core"
 )
 
-// This file makes the AutoController cluster-wide. Every process samples its
-// own LoadMeter rows on the same cadence and broadcasts the increments as
-// core.LoadDelta frames over the mesh control channel; each process folds
-// the deltas it receives into a core.ClusterLoadView, so all of them
-// converge on the same worker×bin load matrix. Exactly one process — the
-// lowest-index one believed alive — acts on that matrix: it runs the policy
-// and cost model and issues plans through its own Controller, whose control
-// moves broadcast to every worker in the cluster (bin ownership is a pure
-// function of the move set, so a single sender suffices). Deltas double as
-// heartbeats: a process that misses SuspectAfter consecutive sampling
-// windows is suspected dead and the next index takes over — but a fresh
-// leader may not decide until the frontier passes its takeover epoch, which
-// proves every move the previous leader issued has fully applied, so a
-// takeover can never interleave a conflicting plan with a dying one.
-
-// ControlBus is the cluster control channel the AutoController piggybacks
-// on: broadcast to every peer, receive from all of them serialized.
-// *dataflow.Mesh implements it; tests substitute in-memory buses.
-type ControlBus interface {
-	BroadcastControl(payload []byte)
-	SetControlHandler(h func(from int, payload []byte))
-}
+// This file makes the AutoController cluster-wide. Load telemetry travels
+// through the telemetry core (telemetry.go), and exactly one process — the
+// lowest-index one believed alive by the liveness core (control.go) — acts
+// on the merged matrix: it runs the policy and cost model and issues plans
+// through its own Controller, whose control moves broadcast to every worker
+// in the cluster (bin ownership is a pure function of the move set, so a
+// single sender suffices). Load deltas double as heartbeats, and the
+// liveness clock counts sampling windows: a process silent for more than
+// SuspectAfter windows is suspected dead and the next index takes over — but
+// a fresh leader may not decide until the frontier passes its takeover
+// epoch, which proves every move the previous leader issued has fully
+// applied, so a takeover can never interleave a conflicting plan with a
+// dying one.
 
 // ClusterOptions extends AutoOptions to a multi-process cluster.
 type ClusterOptions struct {
@@ -60,203 +49,6 @@ func (o *ClusterOptions) logf(format string, args ...any) {
 	if o.Logf != nil {
 		o.Logf(format, args...)
 	}
-}
-
-// Control-plane payload kinds (first byte of every frame on the bus).
-const (
-	ctrlKindLoad     byte = 1 // core.LoadDelta heartbeat
-	ctrlKindDecision byte = 2 // leader decision, mirrored by followers
-)
-
-// clusterState is the per-process half of the distributed control plane.
-// The ticking goroutine owns sampling, election and decisions; transport
-// receive goroutines (serialized by the bus) own inbound merge and
-// mirroring. The two sides meet only through atomics and the
-// AutoController's dmu.
-type clusterState struct {
-	opts ClusterOptions
-	view *core.ClusterLoadView
-
-	meter      *core.LoadMeter
-	firstLocal int
-
-	// Outgoing delta state (ticking goroutine only): previous cumulative
-	// row values, so each broadcast carries increments.
-	seq                 uint64
-	prevRecs, prevNanos [][]uint64
-	rowRecs, rowNanos   []uint64
-	outDelta            core.LoadDelta
-	outBuf              []byte
-	leader, everLed     bool
-	takeoverEpoch       core.Time // fresh leader may not decide until frontier passes this
-	takeoverGuard       bool
-	lastLeader          int
-
-	// samples counts local sampling windows; lastHeard[q] is the samples
-	// value when process q was last heard from. Written on the ticking
-	// goroutine (samples, own row) and transport goroutines (peer rows).
-	samples   atomic.Int64
-	lastHeard []atomic.Int64
-	// heard[q] latches once any load delta from process q has been folded
-	// into the view, so the leader can tell "no telemetry yet" apart from
-	// "quiet window" and defer decisions until the view covers the cluster.
-	heard []atomic.Bool
-
-	// Inbound decode state (bus-serialized handler only).
-	inDelta core.LoadDelta
-	lastSeq []uint64 // highest delta seq folded per origin
-}
-
-func newClusterState(meter *core.LoadMeter, opts ClusterOptions) *clusterState {
-	if opts.Bus == nil {
-		panic("plan: ClusterOptions needs a Bus")
-	}
-	if opts.Procs < 2 || opts.Proc < 0 || opts.Proc >= opts.Procs {
-		panic("plan: ClusterOptions process index out of range")
-	}
-	if opts.WorkersPerProc <= 0 || opts.Procs*opts.WorkersPerProc != meter.Workers() {
-		panic("plan: ClusterOptions worker layout does not match the meter")
-	}
-	opts.defaults()
-	first := opts.Proc * opts.WorkersPerProc
-	cs := &clusterState{
-		opts:       opts,
-		view:       core.NewClusterLoadView(meter, first, opts.WorkersPerProc),
-		meter:      meter,
-		firstLocal: first,
-		rowRecs:    make([]uint64, meter.Bins()),
-		rowNanos:   make([]uint64, meter.Bins()),
-		lastHeard:  make([]atomic.Int64, opts.Procs),
-		heard:      make([]atomic.Bool, opts.Procs),
-		lastSeq:    make([]uint64, opts.Procs),
-		lastLeader: -1,
-	}
-	cs.prevRecs = make([][]uint64, opts.WorkersPerProc)
-	cs.prevNanos = make([][]uint64, opts.WorkersPerProc)
-	cs.outDelta.Rows = make([]core.LoadDeltaRow, opts.WorkersPerProc)
-	for r := 0; r < opts.WorkersPerProc; r++ {
-		cs.prevRecs[r] = make([]uint64, meter.Bins())
-		cs.prevNanos[r] = make([]uint64, meter.Bins())
-		cs.outDelta.Rows[r] = core.LoadDeltaRow{
-			Recs:  make([]uint64, meter.Bins()),
-			Nanos: make([]uint64, meter.Bins()),
-		}
-	}
-	return cs
-}
-
-// sample broadcasts this window's local row increments (always, even when
-// empty: the delta is also the heartbeat) and advances the local sample
-// clock. Ticking goroutine only.
-func (cs *clusterState) sample() {
-	bins := cs.meter.Bins()
-	cs.seq++
-	d := &cs.outDelta
-	d.Proc = cs.opts.Proc
-	d.Seq = cs.seq
-	d.FirstWorker = cs.firstLocal
-	d.Bins = bins
-	for r := 0; r < cs.opts.WorkersPerProc; r++ {
-		cs.meter.ReadRow(cs.firstLocal+r, cs.rowRecs, cs.rowNanos)
-		for b := 0; b < bins; b++ {
-			d.Rows[r].Recs[b] = cs.rowRecs[b] - cs.prevRecs[r][b]
-			d.Rows[r].Nanos[b] = cs.rowNanos[b] - cs.prevNanos[r][b]
-			cs.prevRecs[r][b] = cs.rowRecs[b]
-			cs.prevNanos[r][b] = cs.rowNanos[b]
-		}
-	}
-	cs.outBuf = append(cs.outBuf[:0], ctrlKindLoad)
-	cs.outBuf = core.AppendLoadDelta(cs.outBuf, d)
-	cs.opts.Bus.BroadcastControl(cs.outBuf)
-	n := cs.samples.Add(1)
-	cs.lastHeard[cs.opts.Proc].Store(n)
-}
-
-// leaderIndex returns the lowest process index not currently suspected.
-// This process is never suspected of itself, so the scan always terminates
-// at cs.opts.Proc.
-func (cs *clusterState) leaderIndex() int {
-	n := cs.samples.Load()
-	for q := 0; q < cs.opts.Procs; q++ {
-		if q == cs.opts.Proc {
-			return q
-		}
-		if n-cs.lastHeard[q].Load() <= int64(cs.opts.SuspectAfter) {
-			return q
-		}
-	}
-	return cs.opts.Proc
-}
-
-// elect re-evaluates leadership at a sampling boundary and returns whether
-// this process currently leads. Acquiring leadership any way other than
-// being process 0 at startup arms the takeover guard: no decision until the
-// frontier passes the takeover epoch, proving every move a previous leader
-// issued (necessarily at an earlier epoch) has been applied cluster-wide.
-func (cs *clusterState) elect(now core.Time) bool {
-	idx := cs.leaderIndex()
-	if cs.lastLeader >= 0 && idx != cs.lastLeader {
-		cs.opts.logf("megaphone: process %d: cluster controller is now process %d (was %d) at epoch %d",
-			cs.opts.Proc, idx, cs.lastLeader, now)
-	}
-	cs.lastLeader = idx
-	lead := idx == cs.opts.Proc
-	switch {
-	case lead && !cs.leader:
-		if cs.opts.Proc == 0 && !cs.everLed {
-			// Process 0's startup leadership has no predecessor whose
-			// in-flight plan could conflict; decide freely.
-		} else {
-			cs.takeoverEpoch = now
-			cs.takeoverGuard = true
-			cs.opts.logf("megaphone: process %d assumed cluster-controller leadership at epoch %d",
-				cs.opts.Proc, now)
-		}
-		cs.everLed = true
-		if cs.opts.OnLeadership != nil {
-			cs.opts.OnLeadership(true, now)
-		}
-	case !lead && cs.leader:
-		cs.opts.logf("megaphone: process %d ceded cluster-controller leadership at epoch %d",
-			cs.opts.Proc, now)
-		if cs.opts.OnLeadership != nil {
-			cs.opts.OnLeadership(false, now)
-		}
-	}
-	cs.leader = lead
-	return lead
-}
-
-// covered reports whether the merged view spans the whole cluster: every
-// peer has either contributed at least one load delta or is suspected dead.
-// Until then a leader's window is mostly its own local rows, and a plan
-// rendered from it would chase a phantom imbalance — the decision defers to
-// the next sampling boundary instead.
-func (cs *clusterState) covered() bool {
-	n := cs.samples.Load()
-	for q := 0; q < cs.opts.Procs; q++ {
-		if q == cs.opts.Proc || cs.heard[q].Load() {
-			continue
-		}
-		if n-cs.lastHeard[q].Load() <= int64(cs.opts.SuspectAfter) {
-			return false
-		}
-	}
-	return true
-}
-
-// mayDecide reports whether the takeover guard (if armed) has cleared:
-// frontier strictly past the takeover epoch, or an empty frontier (the
-// dataflow drained, nothing can be in flight).
-func (cs *clusterState) mayDecide(frontier core.Time) bool {
-	if !cs.takeoverGuard {
-		return true
-	}
-	if frontier == core.None || frontier > cs.takeoverEpoch {
-		cs.takeoverGuard = false
-		return true
-	}
-	return false
 }
 
 // appendDecisionFrame encodes a leader decision (issued or declined) for
@@ -337,42 +129,66 @@ func parseDecisionFrame(data []byte) (Decision, Assignment, error) {
 	return d, assign, nil
 }
 
+// elect re-evaluates leadership at a sampling boundary and returns whether
+// this process currently leads. A takeover arms the guard: no decision until
+// the frontier passes the takeover epoch, proving every move a previous
+// leader issued (necessarily at an earlier epoch) has been applied
+// cluster-wide.
+func (a *AutoController) elect(now core.Time) bool {
+	o := a.opts.Cluster
+	e := a.live.elect(everyone)
+	if e.prev >= 0 && e.leader != e.prev {
+		o.logf("megaphone: process %d: cluster controller is now process %d (was %d) at epoch %d",
+			o.Proc, e.leader, e.prev, now)
+	}
+	if e.takeover {
+		a.takeoverEpoch, a.takeoverGuard = now, true
+		o.logf("megaphone: process %d assumed cluster-controller leadership at epoch %d", o.Proc, now)
+	}
+	if e.lost {
+		o.logf("megaphone: process %d ceded cluster-controller leadership at epoch %d", o.Proc, now)
+	}
+	if (e.gained || e.lost) && o.OnLeadership != nil {
+		o.OnLeadership(e.lead, now)
+	}
+	return e.lead
+}
+
+// mayDecide reports whether the takeover guard (if armed) has cleared:
+// frontier strictly past the takeover epoch, or an empty frontier (the
+// dataflow drained, nothing can be in flight).
+func (a *AutoController) mayDecide(frontier core.Time) bool {
+	if a.takeoverGuard && (frontier == core.None || frontier > a.takeoverEpoch) {
+		a.takeoverGuard = false
+	}
+	return !a.takeoverGuard
+}
+
 // onControl handles one inbound control frame. Runs on the bus's serialized
 // handler context, never on the ticking goroutine.
 func (a *AutoController) onControl(from int, payload []byte) {
-	cs := a.cluster
+	o := a.opts.Cluster
 	if len(payload) == 0 {
-		cs.opts.logf("megaphone: process %d: empty control frame from %d", cs.opts.Proc, from)
+		o.logf("megaphone: process %d: empty control frame from %d", o.Proc, from)
 		return
 	}
 	switch payload[0] {
 	case ctrlKindLoad:
-		d := &cs.inDelta
-		if err := core.DecodeLoadDelta(payload[1:], d); err != nil {
-			cs.opts.logf("megaphone: process %d: dropping control frame from %d: %v", cs.opts.Proc, from, err)
+		origin, err := a.tel.receive(payload[1:])
+		if err != nil {
+			o.logf("megaphone: process %d: dropping load delta from %d: %v", o.Proc, from, err)
 			return
 		}
-		if d.Proc < 0 || d.Proc >= cs.opts.Procs {
-			cs.opts.logf("megaphone: process %d: load delta claims origin %d of %d", cs.opts.Proc, d.Proc, cs.opts.Procs)
-			return
+		if origin >= 0 {
+			a.live.heard(origin)
 		}
-		if d.Seq <= cs.lastSeq[d.Proc] {
-			return // duplicate or stale (transport is exactly-once; belt and braces)
-		}
-		if err := cs.view.Apply(d); err != nil {
-			cs.opts.logf("megaphone: process %d: dropping load delta from %d: %v", cs.opts.Proc, from, err)
-			return
-		}
-		cs.lastSeq[d.Proc] = d.Seq
-		cs.lastHeard[d.Proc].Store(cs.samples.Load())
-		cs.heard[d.Proc].Store(true)
 	case ctrlKindDecision:
 		d, assign, err := parseDecisionFrame(payload[1:])
 		if err != nil {
-			cs.opts.logf("megaphone: process %d: dropping decision frame from %d: %v", cs.opts.Proc, from, err)
+			o.logf("megaphone: process %d: dropping decision frame from %d: %v", o.Proc, from, err)
 			return
 		}
-		if d.Origin == cs.opts.Proc {
+		if d.Origin == o.Proc {
 			return // our own broadcast echoed back through a relay; impossible today
 		}
 		a.dmu.Lock()
@@ -382,6 +198,6 @@ func (a *AutoController) onControl(from int, payload []byte) {
 		a.decisions = append(a.decisions, d)
 		a.dmu.Unlock()
 	default:
-		cs.opts.logf("megaphone: process %d: unknown control payload kind %d from %d", cs.opts.Proc, payload[0], from)
+		o.logf("megaphone: process %d: unknown control payload kind %d from %d", o.Proc, payload[0], from)
 	}
 }

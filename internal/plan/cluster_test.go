@@ -225,9 +225,11 @@ func TestClusterControllerElectionFailover(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Keep the live processes' epoch clocks within ~1.5 sampling windows of
+	// Keep the live processes' epoch clocks within half a sampling window of
 	// each other: failure detection counts local samples since a peer's last
 	// heartbeat, so an artificially starved goroutine must not read as dead.
+	// Drift d epochs each way can make a peer look silent for up to
+	// 1+2d/SampleEvery windows; at ±5 epochs that is 2, inside SuspectAfter.
 	var epochs [procs]atomic.Int64
 	var alive [procs]atomic.Bool
 	for p := range alive {
@@ -241,7 +243,7 @@ func TestClusterControllerElectionFailover(t *testing.T) {
 				if q == p || !alive[q].Load() {
 					continue
 				}
-				if int64(e) > epochs[q].Load()+15 {
+				if int64(e) > epochs[q].Load()+5 {
 					lag = true
 				}
 			}

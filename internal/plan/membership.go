@@ -17,8 +17,8 @@ import (
 // join (an absent roster slot comes up and is admitted), drain-leave (a
 // member migrates its bins away and departs cleanly), and crash-leave (a
 // member is declared dead and its bins are rebuilt from the latest complete
-// checkpoint). The leader (lowest live index, heartbeat-elected exactly like
-// the autoscaler's control plane in cluster.go) decides each transition and
+// checkpoint). The leader (the lowest live member, elected by the liveness
+// core in control.go over per-tick heartbeats) decides each transition and
 // broadcasts it with a commit epoch chosen a margin ahead of the present;
 // every member applies the transition when its drive loop reaches that epoch,
 // so membership changes commit at frontier-aligned epoch boundaries exactly
@@ -164,27 +164,29 @@ type MembershipOptions struct {
 	// zero (the default) advances on every Tick, which suits tests that
 	// step virtual time.
 	TickEvery time.Duration
-	// Autoscale, when non-nil, drives elasticity from load telemetry: a
-	// registered standby is admitted only when the cluster is saturated, and
-	// the coldest member is drain-left on sustained underload. Without it a
-	// Hello is admitted as soon as the leader is free to decide.
+	// Autoscale, when non-nil, drives elasticity from load telemetry carried
+	// on the same bus: a registered standby is admitted only when the cluster
+	// is saturated, and the coldest member is drain-left on sustained
+	// underload. Without it a Hello is admitted as soon as the leader is free
+	// to decide.
 	Autoscale *MembershipAutoscale
 	// Logf, when non-nil, receives membership lifecycle messages.
 	Logf func(format string, args ...any)
 }
 
-// MembershipAutoscale closes the elasticity loop: the membership leader reads
-// the autoscaler's cluster-wide load windows (the two planes share the mesh
-// control channel through a BusMux) and turns sustained saturation into a
-// standby admission and sustained underload into a drain-leave of the coldest
-// member, with the scale-out priced by the migrate-or-not cost model.
+// MembershipAutoscale closes the elasticity loop: the membership controller
+// exchanges load telemetry over its own bus (the telemetry core in
+// telemetry.go), and its leader turns sustained saturation of the merged
+// windows into a standby admission and sustained underload into a drain-leave
+// of the coldest member, with the scale-out priced by the migrate-or-not cost
+// model.
 type MembershipAutoscale struct {
-	// Auto is the cluster autoscale controller on the mux'd auto plane
-	// (required). The membership controller ticks it, so the drive loop only
-	// ever calls MembershipController.Tick. Its policy should be Static: in
-	// membership mode bin moves must route through the membership plane, and
-	// the controller is wanted purely for its converged load telemetry.
-	Auto *AutoController
+	// Meter is the load source (required): the full roster's worker×bin
+	// meter, of which this process owns its own workers' rows.
+	Meter *core.LoadMeter
+	// SampleEvery is the number of ticks per sampling window (default 250,
+	// as in AutoOptions).
+	SampleEvery int
 	// HotRecs is the mean records per live worker per sampling window above
 	// which the cluster counts as saturated (0 disables scale-out).
 	HotRecs uint64
@@ -205,6 +207,9 @@ type MembershipAutoscale struct {
 }
 
 func (as *MembershipAutoscale) defaults() {
+	if as.SampleEvery <= 0 {
+		as.SampleEvery = 250
+	}
 	if as.Sustain <= 0 {
 		as.Sustain = 3
 	}
@@ -238,21 +243,6 @@ func (o *MembershipOptions) logf(format string, args ...any) {
 		o.Logf(format, args...)
 	}
 }
-
-// Membership control-plane payload kinds. They live above the autoscaler's
-// kinds (1, 2) so the two planes can share one mesh control channel through a
-// BusMux (see mux.go), which routes inbound frames by this first byte.
-const (
-	memKindBeat      byte = 10 // heartbeat
-	memKindHello     byte = 11 // joiner asks for admission
-	memKindLeaveReq  byte = 12 // member asks to drain out
-	memKindDecision  byte = 13 // leader's transition decision
-	memKindReady     byte = 14 // barrier: quiescence report (frontier + counters)
-	memKindInv       byte = 15 // barrier: capability-hold inventory + applied bounds
-	memKindDone      byte = 16 // barrier: tracker reset complete
-	memKindGoodbye   byte = 17 // leaver's final control frame before its FIN
-	memKindMigration byte = 18 // leader's rendered scripted-migration schedule
-)
 
 // memStep is one step of the membership timeline: from epoch `from` onward,
 // roster slot p participates iff active[p].
@@ -356,22 +346,21 @@ type MembershipController struct {
 	deadGone   []bool
 	everActive []bool // slots that were ever live (drained-silent detection)
 
-	// Autoscale state: the last consumed telemetry window and the streak
-	// counters behind the Sustain gate.
+	// Autoscale state (nil tel without Autoscale): the telemetry core, the
+	// ticks into its current sampling window, the last consumed window and
+	// the streak counters behind the Sustain gate.
+	tel                   *telemetry
+	asTicks               int
 	asWindowSeq           uint64
 	hotStreak, coldStreak int
 
 	joinDecision *Transition // joiner side: our own admission
 
-	// Heartbeat clocks, as in clusterState: ticks counts local windows,
-	// lastHeard[q] the ticks value when q last spoke, tickNano the wall
-	// clock of the last window advance (TickEvery pacing).
-	ticks     atomic.Int64
-	tickNano  atomic.Int64
+	// live is the liveness core; its clock counts ticks (at most one per
+	// TickEvery) and beats are the heartbeats. Its election state is only
+	// touched under mu. lastTick is the drive loop's latest epoch.
+	live      *liveness
 	lastTick  atomic.Int64
-	lastHeard []atomic.Int64
-	leader    bool
-	everLed   bool
 	guardTill core.Time // fresh leader: no decision until the loop passes this
 
 	// Barrier collections, keyed by commit epoch (a fast peer may report for
@@ -384,8 +373,8 @@ type MembershipController struct {
 }
 
 // NewMembershipController validates the options, seeds the timeline from the
-// initial membership, and registers the bus handler (taking sole ownership of
-// the bus: membership cannot share it with the autoscaler's control plane).
+// initial membership, and registers the bus handler: the controller is the
+// process's one control plane and owns the bus, load telemetry included.
 func NewMembershipController(opts MembershipOptions) *MembershipController {
 	if opts.Bus == nil || opts.Fabric == nil || opts.Frontier == nil {
 		panic("plan: MembershipOptions needs Bus, Fabric and Frontier")
@@ -399,11 +388,13 @@ func NewMembershipController(opts MembershipOptions) *MembershipController {
 	if opts.InitialActive != nil && len(opts.InitialActive) != opts.Procs {
 		panic("plan: MembershipOptions.InitialActive length does not match Procs")
 	}
-	if opts.Autoscale != nil {
-		if opts.Autoscale.Auto == nil {
-			panic("plan: MembershipAutoscale needs the cluster AutoController for telemetry")
+	if as := opts.Autoscale; as != nil {
+		if as.Meter == nil || as.Meter.Workers() != opts.Procs*opts.WorkersPerProc {
+			panic("plan: MembershipAutoscale needs a Meter spanning the full roster")
 		}
-		opts.Autoscale.defaults()
+		cp := *as
+		cp.defaults()
+		opts.Autoscale = &cp
 	}
 	opts.defaults()
 	mc := &MembershipController{
@@ -411,7 +402,7 @@ func NewMembershipController(opts MembershipOptions) *MembershipController {
 		helloFrom: -1,
 		leaveFrom: -1,
 		deadGone:  make([]bool, opts.Procs),
-		lastHeard: make([]atomic.Int64, opts.Procs),
+		live:      newLiveness(opts.Procs, opts.Proc, opts.SuspectAfter, opts.TickEvery),
 		ready:     make(map[core.Time]map[int]*barSnap),
 		invs:      make(map[core.Time]map[int]*invSnap),
 		resetOK:   make(map[core.Time]map[int]bool),
@@ -433,6 +424,9 @@ func NewMembershipController(opts MembershipOptions) *MembershipController {
 		mc.assign = Rebalance(opts.Bins, mc.liveWorkers(live))
 	}
 	mc.resident = append(Assignment(nil), mc.assign...)
+	if as := opts.Autoscale; as != nil {
+		mc.tel = newTelemetry(as.Meter, opts.Bus, opts.Procs, opts.Proc, opts.WorkersPerProc)
+	}
 	opts.Bus.SetControlHandler(mc.onControl)
 	return mc
 }
@@ -503,18 +497,6 @@ func (mc *MembershipController) activeAt(e core.Time) []bool {
 	return mc.timeline[0].active
 }
 
-// participants lists the processes active at epoch e, ascending.
-func (mc *MembershipController) participants(e core.Time) []int {
-	act := mc.activeAt(e)
-	var out []int
-	for p, a := range act {
-		if a {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Covered returns the global input slots (worker indices) this process
 // drives at epoch e: its own workers' slots, plus a deterministic share of
 // the slots belonging to inactive roster processes — every member computes
@@ -527,12 +509,7 @@ func (mc *MembershipController) Covered(e core.Time) []int {
 	if !act[mc.opts.Proc] {
 		return nil
 	}
-	live := make([]int, 0, mc.opts.Procs)
-	for p, a := range act {
-		if a {
-			live = append(live, p)
-		}
-	}
+	live := participantsOf(act)
 	w := mc.opts.WorkersPerProc
 	var out []int
 	for p, a := range act {
@@ -556,12 +533,7 @@ func (mc *MembershipController) Covered(e core.Time) []int {
 func (mc *MembershipController) ReplaySlots(e core.Time) []int {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
-	live := make([]int, 0, mc.opts.Procs)
-	for p, a := range mc.activeAt(e) {
-		if a {
-			live = append(live, p)
-		}
-	}
+	live := participantsOf(mc.activeAt(e))
 	var out []int
 	total := mc.opts.Procs * mc.opts.WorkersPerProc
 	for g := 0; g < total; g++ {
@@ -644,32 +616,20 @@ func (mc *MembershipController) residentAtLocked(t core.Time) Assignment {
 	return out
 }
 
-// Tick runs once per drive-loop epoch: it broadcasts the heartbeat, advances
-// the suspicion clock, ticks the attached autoscaler (when configured), and —
-// on the leader — decides any pending transition, due scripted migration, or
-// elasticity action.
+// Tick runs once per drive-loop epoch: it ends a telemetry sampling window
+// when one is due (with Autoscale), broadcasts the heartbeat, advances the
+// suspicion clock, and — on the leader — decides any pending transition, due
+// scripted migration, or elasticity action.
 func (mc *MembershipController) Tick(now core.Time) {
-	if as := mc.opts.Autoscale; as != nil {
-		// The auto plane samples and converges telemetry on the same drive
-		// goroutine; its policy is Static in membership mode, so it never
-		// issues moves of its own.
-		as.Auto.Tick(now)
+	if mc.tel != nil {
+		if mc.asTicks++; mc.asTicks%mc.opts.Autoscale.SampleEvery == 0 {
+			mc.tel.sample()
+		}
 	}
 	mc.lastTick.Store(int64(now))
 	mc.beatBuf = append(mc.beatBuf[:0], memKindBeat)
 	mc.opts.Bus.BroadcastControl(mc.beatBuf)
-	advance := true
-	if d := int64(mc.opts.TickEvery); d > 0 {
-		nano := time.Now().UnixNano()
-		advance = nano-mc.tickNano.Load() >= d
-		if advance {
-			mc.tickNano.Store(nano)
-		}
-	}
-	if advance {
-		n := mc.ticks.Add(1)
-		mc.lastHeard[mc.opts.Proc].Store(n)
-	}
+	mc.live.advance()
 
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
@@ -712,42 +672,23 @@ func (mc *MembershipController) Tick(now core.Time) {
 	}
 }
 
-// suspected reports whether member q has missed more than SuspectAfter
-// heartbeat windows (never true of the local process).
-func (mc *MembershipController) suspected(q int) bool {
-	if q == mc.opts.Proc {
-		return false
+// electLocked re-evaluates leadership: the lowest unsuspected current
+// member. A process that takes over mid-run must wait Margin epochs before
+// deciding, so a dying leader's in-flight decision either surfaces (it was
+// broadcast) or never happened.
+func (mc *MembershipController) electLocked(now core.Time) bool {
+	e := mc.live.elect(mc.memberLocked)
+	if e.takeover {
+		mc.guardTill = now + mc.opts.Margin
+		mc.opts.logf("megaphone: process %d assumed membership leadership at epoch %d", mc.opts.Proc, now)
 	}
-	return mc.ticks.Load()-mc.lastHeard[q].Load() > int64(mc.opts.SuspectAfter)
+	return e.lead
 }
 
-// electLocked re-evaluates leadership: lowest unsuspected current member. A
-// process that acquires leadership mid-run (not process 0 at startup) must
-// wait Margin epochs before deciding, so a dying leader's in-flight decision
-// either surfaces (it was broadcast) or never happened.
-func (mc *MembershipController) electLocked(now core.Time) bool {
-	lead := false
-	for q := 0; q < mc.opts.Procs; q++ {
-		if !mc.active[q] || mc.deadGone[q] {
-			continue
-		}
-		if q == mc.opts.Proc {
-			lead = true
-		}
-		if q == mc.opts.Proc || !mc.suspected(q) {
-			lead = lead && q == mc.opts.Proc
-			break
-		}
-	}
-	if lead && !mc.leader {
-		if !(mc.opts.Proc == 0 && !mc.everLed) {
-			mc.guardTill = now + mc.opts.Margin
-			mc.opts.logf("megaphone: process %d assumed membership leadership at epoch %d", mc.opts.Proc, now)
-		}
-		mc.everLed = true
-	}
-	mc.leader = lead
-	return lead
+// memberLocked is the membership eligibility rule: a current member that
+// has not been retired.
+func (mc *MembershipController) memberLocked(q int) bool {
+	return mc.active[q] && !mc.deadGone[q]
 }
 
 // deadCandidateLocked returns a member to declare dead: silent for
@@ -756,12 +697,11 @@ func (mc *MembershipController) electLocked(now core.Time) bool {
 // capabilities that wedge the frontier; only a crash declaration with its
 // barrier can clear them).
 func (mc *MembershipController) deadCandidateLocked() int {
-	n := mc.ticks.Load()
 	for q := 0; q < mc.opts.Procs; q++ {
 		if q == mc.opts.Proc || mc.deadGone[q] || !mc.everActive[q] {
 			continue
 		}
-		if n-mc.lastHeard[q].Load() > int64(mc.opts.SuspectAfter+mc.opts.DeathAfter) {
+		if mc.live.silence(q) > int64(mc.opts.SuspectAfter+mc.opts.DeathAfter) {
 			return q
 		}
 	}
@@ -772,7 +712,7 @@ func (mc *MembershipController) deadCandidateLocked() int {
 // decision arrives like any other and the drive loop commits it at its epoch.
 func (mc *MembershipController) RequestLeave() {
 	mc.mu.Lock()
-	self := mc.leader
+	self := mc.live.leading
 	if self && mc.leaveFrom < 0 {
 		mc.leaveFrom = mc.opts.Proc
 	}
@@ -854,7 +794,7 @@ func (mc *MembershipController) decideJoinLocked(now core.Time, slot int) {
 	target := Rebalance(mc.opts.Bins, mc.liveWorkers(participantsOf(after)))
 	rebal := Diff(mc.resident, target)
 	mc.helloFrom = -1
-	mc.broadcastDecisionLocked(tr, after, [][2]any{{commit, seed}, {rebalEpoch, rebal}}, target)
+	mc.broadcastDecisionLocked(tr, []timedMoves{{epoch: commit, moves: seed}, {epoch: rebalEpoch, moves: rebal}})
 }
 
 // decideDrainLocked renders and broadcasts the departure of `slot`: its bins
@@ -864,9 +804,9 @@ func (mc *MembershipController) decideDrainLocked(now core.Time, slot int) {
 	after := append([]bool(nil), mc.active...)
 	after[slot] = false
 	tr := &Transition{Kind: TransitionDrain, Slot: slot, Epoch: commit, MemEpoch: mc.memEpoch + 1}
-	moves, target := mc.reassignLocked(slot, after)
+	moves := mc.reassignLocked(slot, after)
 	mc.leaveFrom = -1
-	mc.broadcastDecisionLocked(tr, after, [][2]any{{commit, moves}}, target)
+	mc.broadcastDecisionLocked(tr, []timedMoves{{epoch: commit, moves: moves}})
 }
 
 // decideCrashLocked declares `slot` dead, provided a complete checkpoint
@@ -901,11 +841,11 @@ func (mc *MembershipController) decideCrashLocked(now core.Time, slot int) {
 	after := append([]bool(nil), mc.active...)
 	after[slot] = false
 	tr := &Transition{Kind: TransitionCrash, Slot: slot, Epoch: commit, MemEpoch: mc.memEpoch + 1, Ckpt: ckpt}
-	moves, target := mc.crashReassignLocked(slot, after, ckpt, commit)
+	moves := mc.crashReassignLocked(slot, after, ckpt, commit)
 	for _, m := range moves {
 		tr.DeadBins = append(tr.DeadBins, m.Bin)
 	}
-	mc.broadcastDecisionLocked(tr, after, [][2]any{{commit, moves}}, target)
+	mc.broadcastDecisionLocked(tr, []timedMoves{{epoch: commit, moves: moves}})
 }
 
 // crashReassignLocked classifies the bins lost with `slot` and renders their
@@ -919,7 +859,7 @@ func (mc *MembershipController) decideCrashLocked(now core.Time, slot int) {
 // bin's owner-at-commit: the engine only executes a restore at a worker that
 // did not already own the bin, so restoring in place would silently keep the
 // live (possibly incomplete) state while the replay double-applied on top.
-func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt, commit core.Time) ([]core.Move, Assignment) {
+func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt, commit core.Time) []core.Move {
 	w := mc.opts.WorkersPerProc
 	lost := make([]bool, len(mc.assign))
 	for b, owner := range mc.resident {
@@ -953,7 +893,6 @@ func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt
 		}
 	}
 	lw := mc.liveWorkers(participantsOf(after))
-	target := append(Assignment(nil), mc.assign...)
 	var moves []core.Move
 	i := 0
 	for b := range lost {
@@ -973,20 +912,17 @@ func (mc *MembershipController) crashReassignLocked(slot int, after []bool, ckpt
 			nw = lw[i%len(lw)]
 			i++
 		}
-		target[b] = nw
 		moves = append(moves, core.RestoreMove(b, nw, ckpt))
 	}
-	return moves, target
+	return moves
 }
 
 // reassignLocked computes the moves that take slot's bins away round-robin
 // onto the remaining members' workers (the drain-leave path; only called
-// with an empty injection queue, so mirror and residency agree). Returns the
-// moves and the post-transition assignment.
-func (mc *MembershipController) reassignLocked(slot int, after []bool) ([]core.Move, Assignment) {
+// with an empty injection queue, so mirror and residency agree).
+func (mc *MembershipController) reassignLocked(slot int, after []bool) []core.Move {
 	w := mc.opts.WorkersPerProc
 	lw := mc.liveWorkers(participantsOf(after))
-	target := append(Assignment(nil), mc.assign...)
 	var moves []core.Move
 	i := 0
 	for b, owner := range mc.assign {
@@ -995,10 +931,9 @@ func (mc *MembershipController) reassignLocked(slot int, after []bool) ([]core.M
 		}
 		nw := lw[i%len(lw)]
 		i++
-		target[b] = nw
 		moves = append(moves, core.Move{Bin: b, Worker: nw})
 	}
-	return moves, target
+	return moves
 }
 
 // decideScriptedLocked renders the next due scripted migration (if any) into
@@ -1052,15 +987,13 @@ func (mc *MembershipController) autoscaleLocked(now core.Time) {
 	if as == nil {
 		return
 	}
-	seq := as.Auto.WindowSeq()
-	if seq == mc.asWindowSeq || !as.Auto.TelemetryCovered() {
+	// A window missing a member's rows reads as a phantom imbalance: wait
+	// for every member's telemetry (or its suspicion).
+	if mc.tel.windows == mc.asWindowSeq || !mc.tel.covered(mc.live, mc.memberLocked) {
 		return
 	}
-	mc.asWindowSeq = seq
-	window, cumulative := as.Auto.Window()
-	if window == nil {
-		return
-	}
+	mc.asWindowSeq = mc.tel.windows
+	window, cumulative := mc.tel.window, mc.tel.prev
 	live := participantsOf(mc.active)
 	lw := mc.liveWorkers(live)
 	var total uint64
@@ -1125,52 +1058,20 @@ func participantsOf(active []bool) []int {
 }
 
 // broadcastDecisionLocked encodes, broadcasts, and locally applies one
-// decision. schedule pairs are (epoch, moves).
-func (mc *MembershipController) broadcastDecisionLocked(tr *Transition, after []bool, schedule [][2]any, target Assignment) {
-	buf := []byte{memKindDecision}
-	buf = binenc.AppendUvarint(buf, uint64(tr.Kind))
-	buf = binenc.AppendUvarint(buf, uint64(tr.Slot))
-	buf = binenc.AppendUvarint(buf, uint64(tr.Epoch))
-	buf = binenc.AppendUvarint(buf, tr.MemEpoch)
-	buf = binenc.AppendUvarint(buf, uint64(tr.Ckpt))
-	buf = binenc.AppendUvarint(buf, uint64(len(schedule)))
-	for _, se := range schedule {
-		buf = binenc.AppendUvarint(buf, uint64(se[0].(core.Time)))
-		moves := se[1].([]core.Move)
-		buf = binenc.AppendUvarint(buf, uint64(len(moves)))
-		for i := range moves {
-			buf = moves[i].AppendBinaryRec(buf)
-		}
-	}
+// decision together with its move schedule.
+func (mc *MembershipController) broadcastDecisionLocked(tr *Transition, schedule []timedMoves) {
+	buf := appendDecision([]byte{memKindDecision}, tr, schedule)
 	mc.opts.Bus.BroadcastControl(buf)
 	mc.opts.logf("megaphone: process %d decided %v of process %d at epoch %d (membership epoch %d, checkpoint %d)",
 		mc.opts.Proc, tr.Kind, tr.Slot, tr.Epoch, tr.MemEpoch, tr.Ckpt)
-	mc.applyDecisionLocked(tr, scheduleOf(schedule))
-	_ = target
-}
-
-func scheduleOf(schedule [][2]any) []timedMoves {
-	var out []timedMoves
-	for _, se := range schedule {
-		out = append(out, timedMoves{epoch: se[0].(core.Time), moves: se[1].([]core.Move)})
-	}
-	return out
+	mc.applyDecisionLocked(tr, schedule)
 }
 
 // broadcastMigrationLocked encodes and broadcasts a rendered migration
 // schedule, then applies it locally.
 func (mc *MembershipController) broadcastMigrationLocked(seq uint64, schedule []timedMoves) {
-	buf := []byte{memKindMigration}
-	buf = binenc.AppendUvarint(buf, seq)
-	buf = binenc.AppendUvarint(buf, uint64(len(schedule)))
-	for _, tm := range schedule {
-		buf = binenc.AppendUvarint(buf, uint64(tm.epoch))
-		buf = binenc.AppendUvarint(buf, uint64(len(tm.moves)))
-		for i := range tm.moves {
-			buf = tm.moves[i].AppendBinaryRec(buf)
-		}
-	}
-	mc.opts.Bus.BroadcastControl(buf)
+	buf := binenc.AppendUvarint([]byte{memKindMigration}, seq)
+	mc.opts.Bus.BroadcastControl(appendSchedule(buf, schedule))
 	mc.applyMigrationLocked(seq, schedule)
 }
 
@@ -1244,7 +1145,7 @@ func (mc *MembershipController) applyDecisionLocked(tr *Transition, schedule []t
 	case TransitionJoin:
 		// The joiner starts its heartbeat clock now; give it a fresh window.
 		mc.everActive[tr.Slot] = true
-		mc.lastHeard[tr.Slot].Store(mc.ticks.Load())
+		mc.live.heard(tr.Slot)
 		if tr.Slot == mc.opts.Proc {
 			// Our own admission: the seed moves replay the leader's resident
 			// assignment over the operator's built-in initial one, so that is
@@ -1353,7 +1254,7 @@ func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
 	parts := func() []int {
 		mc.mu.Lock()
 		defer mc.mu.Unlock()
-		return mc.participants(tr.Epoch)
+		return participantsOf(mc.activeAt(tr.Epoch))
 	}()
 	joining := tr.Kind == TransitionJoin && tr.Slot == mc.opts.Proc
 
@@ -1364,18 +1265,18 @@ func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
 	// the members report their real probe frontier, which at quiescence is
 	// the commit epoch (join) or the wedged cut (crash-leave).
 	var stable map[int]*barSnap
-	for tries := 0; ; tries++ {
+	var cut core.Time
+	for {
 		snap := mc.reportReady(tr, joining)
 		cur := mc.collectReady(tr.Epoch, snap)
-		if ok, cut := barrierQuiesced(parts, cur, tr); ok {
-			if prevEqual(stable, cur, parts) {
-				stable = cur
-				_ = cut
-				break
-			}
+		ok, c := barrierQuiesced(parts, cur, tr)
+		if ok && prevEqual(stable, cur, parts) {
+			stable, cut = cur, c
+			break
+		}
+		stable = nil
+		if ok {
 			stable = cur
-		} else {
-			stable = nil
 		}
 		if time.Now().After(deadline) {
 			panic(fmt.Sprintf("plan: process %d: %v barrier at epoch %d did not quiesce within %v",
@@ -1383,7 +1284,6 @@ func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	_, cut := barrierQuiesced(parts, stable, tr)
 
 	// Phase 2: pause, purge (crash only), inventory. With workers parked no
 	// new dataflow frames can be created, and the stability certificate says
@@ -1409,7 +1309,7 @@ func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
 	mc.opts.Fabric.ResetProgress(others)
 	if tr.Kind == TransitionJoin {
 		mc.opts.Fabric.Activate(tr.Slot)
-		mc.lastHeard[tr.Slot].Store(mc.ticks.Load())
+		mc.live.heard(tr.Slot)
 	}
 
 	// Phase 4: wait for every participant's reset before resuming workers.
@@ -1420,9 +1320,8 @@ func (mc *MembershipController) RunBarrier(tr *Transition) BarrierResult {
 	// Every participant just proved liveness through the barrier's frame
 	// exchange; restart their heartbeat windows so the post-barrier
 	// catch-up burst cannot suspect them over pre-barrier silence.
-	n := mc.ticks.Load()
 	for _, p := range parts {
-		mc.lastHeard[p].Store(n)
+		mc.live.heard(p)
 	}
 
 	res := BarrierResult{Cut: cut}
@@ -1577,16 +1476,8 @@ func prevEqual(prev, cur map[int]*barSnap, parts []int) bool {
 // tagged with the counters from its stable ready report so receivers can
 // certify nothing moved in between.
 func (mc *MembershipController) broadcastInventory(epoch core.Time, snap *barSnap, inv *progress.Batch, bounds map[int]core.Time) {
-	buf := []byte{memKindInv}
-	buf = binenc.AppendUvarint(buf, uint64(epoch))
-	buf = appendSnap(buf, snap.frontier, snap.sent, snap.recv)
-	buf = binenc.AppendUvarint(buf, uint64(len(bounds)))
-	for w, b := range bounds {
-		buf = binenc.AppendUvarint(buf, uint64(w))
-		buf = binenc.AppendUvarint(buf, uint64(b))
-	}
-	buf = inv.AppendWire(buf)
-	mc.opts.Bus.BroadcastControl(buf)
+	buf := binenc.AppendUvarint([]byte{memKindInv}, uint64(epoch))
+	mc.opts.Bus.BroadcastControl(appendInventory(buf, snap, inv, bounds))
 }
 
 // collectInventories waits for every other participant's inventory, verifies
@@ -1645,42 +1536,6 @@ func (mc *MembershipController) awaitResetDone(epoch core.Time, parts []int, dea
 	}
 }
 
-func appendSnap(buf []byte, f core.Time, sent, recv []uint64) []byte {
-	buf = binenc.AppendUvarint(buf, uint64(f))
-	buf = binenc.AppendUvarint(buf, uint64(len(sent)))
-	for _, v := range sent {
-		buf = binenc.AppendUvarint(buf, v)
-	}
-	for _, v := range recv {
-		buf = binenc.AppendUvarint(buf, v)
-	}
-	return buf
-}
-
-func parseSnap(data []byte) (*barSnap, []byte, error) {
-	f, data, err := binenc.Uvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	n64, data, err := binenc.Count(data, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := int(n64)
-	s := &barSnap{frontier: core.Time(f), sent: make([]uint64, n), recv: make([]uint64, n)}
-	for i := 0; i < n; i++ {
-		if s.sent[i], data, err = binenc.Uvarint(data); err != nil {
-			return nil, nil, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		if s.recv[i], data, err = binenc.Uvarint(data); err != nil {
-			return nil, nil, err
-		}
-	}
-	return s, data, nil
-}
-
 // onControl handles one inbound membership frame. Runs on the bus's
 // serialized handler context.
 func (mc *MembershipController) onControl(from int, payload []byte) {
@@ -1688,15 +1543,24 @@ func (mc *MembershipController) onControl(from int, payload []byte) {
 		return
 	}
 	kind, body := payload[0], payload[1:]
-	if kind == memKindBeat {
-		mc.lastHeard[from].Store(mc.ticks.Load())
+	switch kind {
+	case memKindBeat:
+		mc.live.heard(from)
+		return
+	case ctrlKindLoad:
+		if mc.tel == nil {
+			return
+		}
+		if _, err := mc.tel.receive(body); err != nil {
+			mc.opts.logf("megaphone: process %d: dropping load delta from %d: %v", mc.opts.Proc, from, err)
+		}
 		return
 	}
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	switch kind {
 	case memKindHello:
-		mc.lastHeard[from].Store(mc.ticks.Load())
+		mc.live.heard(from)
 		if !mc.active[from] && !mc.deadGone[from] {
 			mc.helloFrom = from
 		}
@@ -1743,28 +1607,9 @@ func (mc *MembershipController) onControl(from int, payload []byte) {
 			}
 			mc.ready[epoch][from] = s
 		case memKindInv:
-			s, rest2, err := parseSnap(rest)
+			is, err := parseInventory(rest)
 			if err != nil {
 				panic(fmt.Sprintf("plan: process %d: corrupt barrier inventory frame from %d: %v", mc.opts.Proc, from, err))
-			}
-			is := &invSnap{barSnap: *s}
-			nb, rest2, err := binenc.Count(rest2, 2)
-			if err != nil {
-				panic(fmt.Sprintf("plan: process %d: corrupt barrier inventory bounds from %d: %v", mc.opts.Proc, from, err))
-			}
-			is.bounds = make(map[int]core.Time, nb)
-			for i := uint64(0); i < nb; i++ {
-				var w, b uint64
-				if w, rest2, err = binenc.Uvarint(rest2); err == nil {
-					b, rest2, err = binenc.Uvarint(rest2)
-				}
-				if err != nil {
-					panic(fmt.Sprintf("plan: process %d: corrupt barrier inventory bounds from %d: %v", mc.opts.Proc, from, err))
-				}
-				is.bounds[int(w)] = core.Time(b)
-			}
-			if err := is.batch.DecodeWire(rest2); err != nil {
-				panic(fmt.Sprintf("plan: process %d: corrupt barrier inventory batch from %d: %v", mc.opts.Proc, from, err))
 			}
 			if mc.invs[epoch] == nil {
 				mc.invs[epoch] = make(map[int]*invSnap)
@@ -1780,67 +1625,4 @@ func (mc *MembershipController) onControl(from int, payload []byte) {
 	default:
 		mc.opts.logf("megaphone: process %d: unknown membership payload kind %d from %d", mc.opts.Proc, kind, from)
 	}
-}
-
-// parseSchedule decodes a [count]{[epoch][nmoves][moves]} move schedule, as
-// appended by both decision and migration frames.
-func parseSchedule(data []byte) ([]timedMoves, []byte, error) {
-	ns, data, err := binenc.Uvarint(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	var schedule []timedMoves
-	for s := uint64(0); s < ns; s++ {
-		var e, nm uint64
-		if e, data, err = binenc.Uvarint(data); err != nil {
-			return nil, nil, err
-		}
-		if nm, data, err = binenc.Uvarint(data); err != nil {
-			return nil, nil, err
-		}
-		tm := timedMoves{epoch: core.Time(e), moves: make([]core.Move, nm)}
-		for i := range tm.moves {
-			if data, err = tm.moves[i].DecodeBinaryRec(data); err != nil {
-				return nil, nil, err
-			}
-		}
-		schedule = append(schedule, tm)
-	}
-	return schedule, data, nil
-}
-
-// parseDecision decodes a decision frame (sans kind byte).
-func parseDecision(data []byte) (*Transition, []timedMoves, error) {
-	var k, slot, epoch, mem, ckpt uint64
-	var err error
-	if k, data, err = binenc.Uvarint(data); err != nil {
-		return nil, nil, err
-	}
-	if slot, data, err = binenc.Uvarint(data); err != nil {
-		return nil, nil, err
-	}
-	if epoch, data, err = binenc.Uvarint(data); err != nil {
-		return nil, nil, err
-	}
-	if mem, data, err = binenc.Uvarint(data); err != nil {
-		return nil, nil, err
-	}
-	if ckpt, data, err = binenc.Uvarint(data); err != nil {
-		return nil, nil, err
-	}
-	tr := &Transition{Kind: TransitionKind(k), Slot: int(slot), Epoch: core.Time(epoch), MemEpoch: mem, Ckpt: core.Time(ckpt)}
-	schedule, _, err := parseSchedule(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if tr.Kind == TransitionCrash {
-		for _, tm := range schedule {
-			for _, m := range tm.moves {
-				if m.IsRestore() {
-					tr.DeadBins = append(tr.DeadBins, m.Bin)
-				}
-			}
-		}
-	}
-	return tr, schedule, nil
 }

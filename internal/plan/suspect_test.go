@@ -18,25 +18,44 @@ type nopBus struct{}
 func (nopBus) BroadcastControl([]byte)             {}
 func (nopBus) SetControlHandler(func(int, []byte)) {}
 
-// newSuspectState builds a clusterState for process `proc` of a three-process
-// roster, so leaderIndex scans real lower-indexed peers.
-func newSuspectState(proc, suspectAfter int) *clusterState {
-	const procs, wpp, logBins = 3, 2, 2
-	meter := core.NewLoadMeter(procs*wpp, logBins)
-	return newClusterState(meter, ClusterOptions{
-		Bus:            nopBus{},
-		Procs:          procs,
-		Proc:           proc,
-		WorkersPerProc: wpp,
-		SuspectAfter:   suspectAfter,
-	})
+// suspectRig wires the liveness and telemetry cores the way a cluster
+// AutoController does: the liveness clock counts sampling windows and every
+// folded load delta is a heartbeat.
+type suspectRig struct {
+	live *liveness
+	tel  *telemetry
 }
 
+// newSuspectState builds the rig for process `proc` of a three-process
+// roster, so leaderIndex scans real lower-indexed peers.
+func newSuspectState(proc, suspectAfter int) *suspectRig {
+	const procs, wpp, logBins = 3, 2, 2
+	meter := core.NewLoadMeter(procs*wpp, logBins)
+	return &suspectRig{
+		live: newLiveness(procs, proc, suspectAfter, 0),
+		tel:  newTelemetry(meter, nopBus{}, procs, proc, wpp),
+	}
+}
+
+// sample ends one sampling window: delta broadcast, window cut, clock
+// advance (AutoController.Tick).
+func (r *suspectRig) sample() {
+	r.tel.sample()
+	r.live.advance()
+}
+
+// leaderIndex is the elected leader under the fixed-roster rule.
+func (r *suspectRig) leaderIndex() int { return r.live.elect(everyone).leader }
+
+// covered is the telemetry coverage gate under the fixed-roster rule.
+func (r *suspectRig) covered() bool { return r.tel.covered(r.live, everyone) }
+
 // heard simulates the inbound fold path of a load delta from process q: the
-// handler stores the current local sample clock (cluster.go onControl).
-func heard(cs *clusterState, q int) {
-	cs.lastHeard[q].Store(cs.samples.Load())
-	cs.heard[q].Store(true)
+// telemetry core latches q as heard and the handler stamps q's liveness at
+// the current local clock (cluster.go onControl).
+func heard(cs *suspectRig, q int) {
+	cs.live.heard(q)
+	cs.tel.heard[q].Store(true)
 }
 
 // TestSuspicionNeverWithRegularBeats pins the healthy side of the suspicion

@@ -74,20 +74,20 @@ func TestAutoControllerCostGateDeclines(t *testing.T) {
 			Cost:   &CostModel{MigrateNanosPerRec: 1 << 40}, // any volume is ruinous
 		},
 		current: Initial(1<<logBins, workers),
-		source:  meter,
+		tel:     &telemetry{source: meter},
 		lastHot: -1,
 	}
 	a.opts.defaults()
 	// Hand-feed a window and cumulative state instead of running a dataflow.
 	// Bins 0 and 2 are hot on worker 0; shedding bin 0 to worker 1 drops the
 	// max from 5ms to 3ms — a real gain, vetoed purely on volume.
-	a.window = &core.LoadSnapshot{Workers: workers, Bins: 1 << logBins,
+	a.tel.window = &core.LoadSnapshot{Workers: workers, Bins: 1 << logBins,
 		BinRecs:     []uint64{2000, 0, 3000, 0},
 		BinNanos:    []uint64{2_000_000, 0, 3_000_000, 0},
 		WorkerRecs:  []uint64{5000, 0},
 		WorkerNanos: []uint64{5_000_000, 0},
 	}
-	a.prev = &core.LoadSnapshot{Workers: workers, Bins: 1 << logBins,
+	a.tel.prev = &core.LoadSnapshot{Workers: workers, Bins: 1 << logBins,
 		BinRecs:  []uint64{90_000, 0, 0, 0},
 		BinNanos: make([]uint64, 4),
 	}
