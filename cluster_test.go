@@ -138,6 +138,82 @@ func TestClusterKeycountEquivalence(t *testing.T) {
 	}
 }
 
+// TestClusterMigrationBeyondMaxFrame: a migration's state must reach the
+// wire in batches bounded by the operator's ChunkBytes, not as one record
+// the size of everything moved. Two processes with a 1 MiB frame bound run
+// a dense key-count over 2^21 keys (16 MiB of state) and migrate all at
+// once, moving process 1's half — 8 MiB — to process 0. The output must
+// equal the single-process run and neither process may report an error. A
+// frame above the bound kills the sender's transport (ErrFrameTooLarge) and
+// leaves its peer waiting, so the run is also bounded by a watchdog.
+func TestClusterMigrationBeyondMaxFrame(t *testing.T) {
+	const procs, wpp = 2, 1
+	base := keycount.RunConfig{
+		Params: keycount.Params{
+			Variant:  keycount.KeyCount,
+			LogBins:  6,
+			Domain:   1 << 21,
+			Transfer: core.TransferBinary,
+			Preload:  true,
+		},
+		Rate:       5000,
+		Duration:   1200 * time.Millisecond,
+		EpochEvery: time.Millisecond,
+		Strategy:   plan.AllAtOnce,
+		MigrateAt:  400 * time.Millisecond,
+	}
+
+	var ref collector
+	refCfg := base
+	refCfg.Workers = procs * wpp
+	refCfg.Sink = ref.add
+	refRes, err := keycount.Run(refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refRes.MigrationSpans) == 0 {
+		t.Fatal("reference run executed no migration")
+	}
+
+	specs := localClusterSpecs(t, procs)
+	var clu collector
+	var wg sync.WaitGroup
+	errs := make([]error, procs)
+	spans := make([]int, procs)
+	for p := 0; p < procs; p++ {
+		specs[p].MaxFrame = 1 << 20
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			cfg := base
+			cfg.Workers = wpp
+			cfg.Cluster = &specs[p]
+			cfg.Sink = clu.add
+			res, err := keycount.Run(cfg)
+			errs[p], spans[p] = err, len(res.MigrationSpans)
+		}(p)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("cluster run wedged: the migrated state never crossed the 1 MiB frame bound")
+	}
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("process %d: %v", p, err)
+		}
+	}
+	if spans[0] == 0 {
+		t.Fatal("cluster run executed no migration")
+	}
+	if got, want := clu.canonical(), ref.canonical(); got != want {
+		t.Fatalf("cluster output multiset differs from single-process run (cluster %d lines, single %d lines)",
+			len(clu.lines), len(ref.lines))
+	}
+}
+
 // epochCollector canonicalizes running-aggregate outputs: q4 emits one
 // running average per closed auction, and the order of same-epoch closings
 // within one category is inherently nondeterministic (it is already

@@ -97,6 +97,12 @@ func AppendU64s(buf []byte, xs []uint64) []byte {
 
 // U64s decodes a length-prefixed slice of fixed-width 64-bit values.
 func U64s(data []byte) ([]uint64, []byte, error) {
+	return U64sInto(nil, data)
+}
+
+// U64sInto is U64s decoding into dst when its capacity suffices (the
+// decoded values overwrite it), allocating only otherwise.
+func U64sInto(dst []uint64, data []byte) ([]uint64, []byte, error) {
 	n, data, err := Uvarint(data)
 	if err != nil {
 		return nil, nil, err
@@ -104,7 +110,12 @@ func U64s(data []byte) ([]uint64, []byte, error) {
 	if n > uint64(len(data))/8 {
 		return nil, nil, fmt.Errorf("u64s: need %d values: %w", n, ErrShort)
 	}
-	xs := make([]uint64, n)
+	var xs []uint64
+	if dst != nil && uint64(cap(dst)) >= n {
+		xs = dst[:n]
+	} else {
+		xs = make([]uint64, n)
+	}
 	for i := range xs {
 		xs[i], data, _ = U64(data)
 	}

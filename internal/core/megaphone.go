@@ -510,7 +510,9 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 		}
 		moves = moves[1:]
 	}
-	var msgs []StateMsg
+	out := stateEmitter{limit: f.cfg.ChunkBytes, send: func(msgs []StateMsg) {
+		dataflow.SendBatch(c, fOutState, mg.time, msgs)
+	}}
 	// Restore commands first, batched: one checkpoint read serves every bin
 	// this worker must rebuild (a crash reassigns many bins at one epoch).
 	var restoreBins []int
@@ -526,7 +528,7 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 		}
 	}
 	if len(restoreBins) > 0 {
-		msgs = f.restoreFromCheckpoint(msgs, restoreBins, restoreEpoch, mg.time)
+		f.restoreFromCheckpoint(&out, restoreBins, restoreEpoch, mg.time)
 	}
 	for _, m := range moves {
 		if m.IsRestore() {
@@ -545,35 +547,78 @@ func (f *fOp[R, S, O]) execute(c *dataflow.OpCtx, mg pendingConfig) {
 			b := f.bins.take(m.Bin)
 			if b != nil {
 				if isDirect(f.cfg.Transfer) {
-					msgs = append(msgs, StateMsg{Bin: m.Bin, To: m.Worker, Last: true, Dir: b})
+					out.add(StateMsg{Bin: m.Bin, To: m.Worker, Last: true, Dir: b})
 				} else {
 					payload, err := f.cfg.Transfer.EncodeBin(b, nil)
 					if err != nil {
 						panic(err)
 					}
-					msgs = appendChunks(msgs, m.Bin, m.Worker, payload, f.cfg.ChunkBytes)
+					out.addBin(m.Bin, m.Worker, payload)
 				}
 				f.h.migrated[f.index]++
 			}
 		}
 		f.compact(m.Bin, mg.time)
 	}
-	if len(msgs) > 0 {
-		dataflow.SendBatch(c, fOutState, mg.time, msgs)
+	out.flush()
+}
+
+// stateEmitter ships one migration's StateMsgs as a sequence of bounded
+// batches (on F's state output, at the migration's time) instead of one
+// batch holding every moved bin: a batch is sent as soon as its queued
+// payload reaches the limit (Config.ChunkBytes), checked after every chunk.
+// A batch therefore carries at most limit plus one chunk of payload, however
+// large the migration, and so does the wire record the mesh encodes from
+// it; a bin larger than the limit straddles batches. Chunks of one bin stay
+// in order because every (worker, destination) channel is FIFO on both the
+// in-process and the wire path. limit <= 0 (chunking disabled) sends one
+// batch.
+type stateEmitter struct {
+	limit  int
+	send   func([]StateMsg) // ships one batch; must not retain the slice
+	msgs   []StateMsg
+	bytes  int        // payload queued in msgs
+	chunks []StateMsg // addBin's scratch
+}
+
+// add queues one message, flushing when the batch reaches the limit.
+func (e *stateEmitter) add(m StateMsg) {
+	e.msgs = append(e.msgs, m)
+	e.bytes += len(m.Bytes)
+	if e.limit > 0 && e.bytes >= e.limit {
+		e.flush()
 	}
+}
+
+// addBin queues a bin's serialized payload for worker to, split into chunks
+// of at most limit bytes (see appendChunks).
+func (e *stateEmitter) addBin(bin, to int, payload []byte) {
+	e.chunks = appendChunks(e.chunks[:0], bin, to, payload, e.limit)
+	for _, m := range e.chunks {
+		e.add(m)
+	}
+}
+
+// flush sends the queued messages as one batch and reuses the queue.
+func (e *stateEmitter) flush() {
+	if len(e.msgs) > 0 {
+		e.send(e.msgs)
+		e.msgs = e.msgs[:0]
+	}
+	e.bytes = 0
 }
 
 // restoreFromCheckpoint rebuilds the given bins — reassigned to this worker
 // by restore commands taking effect at time `at` — from the checkpoint at
 // epoch ckpt, and ships them to this worker's own S instance as ordinary
-// StateMsg chunks at `at`. Riding the normal migration install path (rather
-// than poking the shared bins holder directly) re-indexes S's notification
-// heap and fires OnInstall exactly as a wire migration would. Pending
-// records that came due while the owner was dead are clamped up to `at`
-// (see clampPending); the clamp forces a re-encode, otherwise the
+// StateMsg chunks through out. Riding the normal migration install path
+// (rather than poking the shared bins holder directly) re-indexes S's
+// notification heap and fires OnInstall exactly as a wire migration would.
+// Pending records that came due while the owner was dead are clamped up to
+// `at` (see clampPending); the clamp forces a re-encode, otherwise the
 // checkpoint payload is shipped verbatim. Failure to read the checkpoint is
 // fatal: the dead member's state exists nowhere else.
-func (f *fOp[R, S, O]) restoreFromCheckpoint(msgs []StateMsg, bins []int, ckpt, at Time) []StateMsg {
+func (f *fOp[R, S, O]) restoreFromCheckpoint(out *stateEmitter, bins []int, ckpt, at Time) {
 	if f.cfg.Checkpoint == nil {
 		panic(fmt.Sprintf("megaphone: operator %q: restore command at epoch %d but no Config.Checkpoint to read from", f.cfg.Name, at))
 	}
@@ -596,9 +641,8 @@ func (f *fOp[R, S, O]) restoreFromCheckpoint(msgs []StateMsg, bins []int, ckpt, 
 				panic(err)
 			}
 		}
-		msgs = appendChunks(msgs, b, f.index, payload, f.cfg.ChunkBytes)
+		out.addBin(b, f.index, payload)
 	}
-	return msgs
 }
 
 // checkpoint drains every bin this worker owns just before time t into the

@@ -25,8 +25,12 @@ type ClusterSpec struct {
 	// MaxFrame bounds one wire frame (transport.DefaultMaxFrame when 0).
 	// Workers coalesce many exchanged batches into one frame, but a single
 	// batch is never split, so MaxFrame must exceed the largest encoded
-	// batch a worker can emit (state migration batches are bounded by the
-	// operator's ChunkBytes).
+	// batch a worker can emit. A migration's state leaves the operator in
+	// batches cut as soon as they hold the operator's ChunkBytes of payload,
+	// however much state moves: each carries less than twice ChunkBytes of
+	// payload plus a few bytes of header per bin, so the default 256 KiB
+	// chunks fit a 1 MiB MaxFrame (negative ChunkBytes, which disables
+	// chunking, gives up that bound).
 	MaxFrame int
 	// Conns is the number of TCP connections per peer process pair
 	// (default 1). Workers stripe their traffic over the connections by

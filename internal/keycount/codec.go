@@ -48,9 +48,11 @@ func (s *ArrayState) AppendBinaryState(buf []byte) []byte {
 	return binenc.AppendU64s(buf, s.Counts)
 }
 
-// DecodeBinaryState implements core.BinaryState.
+// DecodeBinaryState implements core.BinaryState. It decodes into the
+// Counts slice NewState already allocated when that is large enough, so an
+// installed bin costs one array, not two.
 func (s *ArrayState) DecodeBinaryState(data []byte) ([]byte, error) {
-	counts, data, err := binenc.U64s(data)
+	counts, data, err := binenc.U64sInto(s.Counts, data)
 	if err != nil {
 		return nil, err
 	}

@@ -89,3 +89,35 @@ func TestKeycountBinaryFastPath(t *testing.T) {
 		t.Fatalf("hash-count bin fell back to gob (tag %#x)", p[0])
 	}
 }
+
+// TestArrayStateDecodeReusesCounts: decoding a migrated dense bin fills the
+// Counts array NewState already allocated instead of dropping it for a new
+// one — a whole bin of garbage per installed bin otherwise.
+func TestArrayStateDecodeReusesCounts(t *testing.T) {
+	const span = 8192
+	src := &ArrayState{Counts: make([]uint64, span)}
+	for i := range src.Counts {
+		src.Counts[i] = uint64(i) * 7
+	}
+	payload, err := core.TransferBinary.EncodeBin(&core.BinState[uint64, ArrayState]{State: src}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := &ArrayState{Counts: make([]uint64, span)}
+	got := &core.BinState[uint64, ArrayState]{State: dst}
+	counts := dst.Counts
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := core.TransferBinary.DecodeBin(got, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding a %d-key bin into a sized state allocates %.1f objects, want 0", span, allocs)
+	}
+	if &got.State.Counts[0] != &counts[0] {
+		t.Fatal("decode replaced the pre-allocated Counts array")
+	}
+	if !reflect.DeepEqual(got.State, src) {
+		t.Fatal("decoded state differs from the encoded one")
+	}
+}

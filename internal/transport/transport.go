@@ -51,7 +51,8 @@ type Config struct {
 	Conns int
 	// Coalesce caps how many payload bytes the send loop packs into one
 	// batch frame (defaultCoalesce if 0, never more than MaxFrame). Frames
-	// larger than the cap travel alone, up to MaxFrame.
+	// larger than the cap travel alone, up to MaxFrame, and their buffers
+	// are not pooled.
 	Coalesce int
 	// Listener, when non-nil, is a pre-bound listener for Addrs[Index]
 	// (tests bind :0 first to pick free ports without a race).
@@ -489,18 +490,19 @@ func (p *peer) poke() {
 }
 
 // getBufLocked pops a recycled payload buffer with enough capacity, or
-// allocates one.
+// allocates one. A payload above the coalescing bound gets a fresh buffer
+// without touching the pool (putBufLocked would not keep one that size).
 //
 //megalint:hotpath
 func (p *peer) getBufLocked(n int) []byte {
-	if l := len(p.pool); l > 0 {
+	if l := len(p.pool); l > 0 && n <= p.t.cfg.Coalesce {
 		buf := p.pool[l-1]
 		p.pool = p.pool[:l-1]
 		if cap(buf) >= n {
 			return buf
 		}
 	}
-	//megalint:allow hotalloc pool miss or undersized buffer: the pool is warm at steady state
+	//megalint:allow hotalloc pool miss, undersized buffer or a frame above Coalesce: the pool is warm at steady state
 	return make([]byte, 0, n)
 }
 
@@ -509,8 +511,11 @@ func (p *peer) putBufLocked(buf []byte) {
 	// The pool must cover the whole in-flight window — enqueued, written,
 	// awaiting ack — or the enqueue path falls back to the allocator between
 	// ack roundtrips. 8192 buffers bound it at a few MB per lane for typical
-	// frame sizes while absorbing a saturating producer.
-	if len(p.pool) < 8192 {
+	// frame sizes while absorbing a saturating producer. A buffer above the
+	// coalescing bound held a frame that travelled alone (a migration's
+	// state batch, say): pooling it would pin that size for good behind
+	// small frames, so the GC takes it.
+	if len(p.pool) < 8192 && cap(buf) <= p.t.cfg.Coalesce {
 		p.pool = append(p.pool, buf[:0])
 	}
 }

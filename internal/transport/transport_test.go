@@ -16,6 +16,13 @@ import (
 // shared collector.
 func newLocalCluster(t *testing.T, n int, mk func(i int) Handler) []*Transport {
 	t.Helper()
+	return newLocalClusterWith(t, n, mk, nil)
+}
+
+// newLocalClusterWith is newLocalCluster with tweak applied to every
+// process's Config before it dials (nil leaves the defaults).
+func newLocalClusterWith(t *testing.T, n int, mk func(i int) Handler, tweak func(*Config)) []*Transport {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range lns {
@@ -33,12 +40,16 @@ func newLocalCluster(t *testing.T, n int, mk func(i int) Handler) []*Transport {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ts[i], errs[i] = Dial(Config{
+			cfg := Config{
 				Addrs:       addrs,
 				Index:       i,
 				Listener:    lns[i],
 				DialTimeout: 10 * time.Second,
-			}, mk(i))
+			}
+			if tweak != nil {
+				tweak(&cfg)
+			}
+			ts[i], errs[i] = Dial(cfg, mk(i))
 		}(i)
 	}
 	wg.Wait()
@@ -224,6 +235,76 @@ func TestSendAllocsPerFrame(t *testing.T) {
 	// loop.
 	if allocs > 4 {
 		t.Fatalf("transport send path allocates %.2f objects/frame, want <= 4", allocs)
+	}
+}
+
+// TestPoolKeepsNoBufferAboveCoalesce: a frame larger than the coalescing
+// bound travels alone, and once it is acknowledged its buffer goes to the
+// GC, not to the lane's pool — a pooled migration-sized buffer would be
+// reused for small frames and never freed. Small-frame sends afterwards
+// still hit the pool, so their allocation budget is unchanged.
+func TestPoolKeepsNoBufferAboveCoalesce(t *testing.T) {
+	const coalesce = 4 << 10
+	var received atomic.Int64
+	mk := func(i int) Handler {
+		if i != 0 {
+			return nil
+		}
+		return func(from int, kind byte, payload []byte) { received.Add(1) }
+	}
+	ts := newLocalClusterWith(t, 2, mk, func(c *Config) {
+		c.Coalesce = coalesce
+		c.AckEvery = 1 // every frame is acknowledged, so all buffers return
+	})
+	defer finishAll(t, ts)
+	sender := ts[1]
+	lane := sender.peers[0].lanes[0]
+	var sent int64
+	send := func(payload []byte, n int) {
+		for i := 0; i < n; i++ {
+			sender.Send(0, KindUser, payload)
+			sent++
+		}
+		waitFor(t, func() bool { return received.Load() == sent })
+		waitFor(t, func() bool {
+			lane.mu.Lock()
+			defer lane.mu.Unlock()
+			return lane.ackedSeq == lane.sendSeq && len(lane.q) == 0 && !lane.inFlight
+		})
+	}
+	poolState := func() (n, over int) {
+		lane.mu.Lock()
+		defer lane.mu.Unlock()
+		for _, b := range lane.pool {
+			if cap(b) > coalesce {
+				over++
+			}
+		}
+		return len(lane.pool), over
+	}
+
+	small := make([]byte, 256)
+	send(small, 2000)
+	warm, _ := poolState()
+	if warm == 0 {
+		t.Fatal("small frames left nothing in the pool")
+	}
+	send(make([]byte, 3*coalesce), 32)
+	n, over := poolState()
+	if over > 0 {
+		t.Fatalf("pool holds %d buffers above the %d-byte coalescing bound after large frames", over, coalesce)
+	}
+	if n < warm {
+		t.Fatalf("large frames evicted small buffers: pool %d, was %d", n, warm)
+	}
+
+	allocs := testing.AllocsPerRun(2000, func() {
+		sender.Send(0, KindUser, small)
+		sent++
+	})
+	waitFor(t, func() bool { return received.Load() == sent })
+	if allocs > 4 {
+		t.Fatalf("small frames after large ones allocate %.2f objects/frame, want <= 4", allocs)
 	}
 }
 
